@@ -90,19 +90,6 @@ Status Mlp::ForwardCancellable(const Matrix& input, const CancelContext& ctx,
   return Status::OK();
 }
 
-std::vector<float> Mlp::ForwardSample(std::span<const float> x) const {
-  SAMPNN_CHECK_EQ(x.size(), input_dim());
-  std::vector<float> cur(x.begin(), x.end());
-  std::vector<float> next;
-  for (const Layer& l : layers_) {
-    next.assign(l.out_dim(), 0.0f);
-    l.ForwardLinear(cur, next);
-    l.Activate(next, next);
-    cur.swap(next);
-  }
-  return cur;
-}
-
 void Mlp::Backward(const Matrix& input, const MlpWorkspace& ws,
                    const Matrix& grad_logits, MlpGrads* grads) const {
   SAMPNN_CHECK(grads != nullptr);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -68,10 +67,6 @@ class Mlp {
   /// Exact dense forward pass. Fills `ws` (z and a per layer) and returns a
   /// reference to the logits (ws->a.back()).
   const Matrix& Forward(const Matrix& input, MlpWorkspace* ws) const;
-
-  /// Single-sample forward; returns logits. Scratch kept internally-free:
-  /// caller supplies the workspace via the batch API if needed repeatedly.
-  std::vector<float> ForwardSample(std::span<const float> x) const;
 
   /// Cancellable dense forward for the serving layer: polls `ctx` between
   /// layers and inside the parallel GEMM dispatch (row-block granularity,

@@ -116,25 +116,6 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(
 
 #endif  // SAMPNN_GEMM_X86
 
-// Portable microkernel: same packed layout, same per-lane accumulation
-// order; auto-vectorizes at the baseline ISA (and never FMA-contracts under
-// the project's default flags, matching the scalar deterministic path's
-// rounding per lane).
-void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
-                         const float* __restrict__ bp, float* c, size_t ldc,
-                         size_t mr, size_t nr) {
-  float acc[kMR][kNR] = {};
-  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += kNR) {
-    for (size_t r = 0; r < kMR; ++r) {
-      const float a = ap[r];
-      for (size_t j = 0; j < kNR; ++j) acc[r][j] += a * bp[j];
-    }
-  }
-  for (size_t r = 0; r < mr; ++r) {
-    for (size_t j = 0; j < nr; ++j) c[r * ldc + j] += acc[r][j];
-  }
-}
-
 using MicroKernelFn = void (*)(size_t, const float*, const float*, float*,
                                size_t, size_t, size_t);
 
@@ -251,6 +232,23 @@ ThreadPool& PoolFor(size_t threads) {
 }
 
 }  // namespace
+
+// Portable microkernel: same packed layout, same per-lane accumulation
+// order; auto-vectorizes at the baseline ISA.
+void MicroKernelPortable(size_t kc, const float* __restrict__ ap,
+                         const float* __restrict__ bp, float* c, size_t ldc,
+                         size_t mr, size_t nr) {
+  float acc[kMR][kNR] = {};
+  for (size_t p = 0; p < kc; ++p, ap += kMR, bp += kNR) {
+    for (size_t r = 0; r < kMR; ++r) {
+      const float a = ap[r];
+      for (size_t j = 0; j < kNR; ++j) acc[r][j] += a * bp[j];
+    }
+  }
+  for (size_t r = 0; r < mr; ++r) {
+    for (size_t j = 0; j < nr; ++j) c[r * ldc + j] += acc[r][j];
+  }
+}
 
 bool MicroKernelIsAvx2() {
 #ifdef SAMPNN_GEMM_X86

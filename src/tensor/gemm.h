@@ -22,8 +22,8 @@
 //     loop 2  jr over Nc in steps of kNR  (B microtile; L1 resident)
 //     loop 1  ir over Mc in steps of kMR  (microkernel)
 //
-// Mc/Kc/Nc derive from detected cache geometry, overridable via
-// SAMPNN_GEMM_{MC,KC,NC} (src/tensor/kernel_config.h). Both operands are
+// Mc/Kc/Nc derive from detected cache geometry (src/tensor/kernel_config.h;
+// tests override them through SetGemmBlockSizes). Both operands are
 // packed into 64-byte-aligned, zero-padded panels (alpha folded into the A
 // pack); edge tiles take the same packed path as interior tiles — the zero
 // padding keeps the microkernel branch-free, only the final store narrows.
@@ -37,8 +37,10 @@
 // so results are bitwise-identical for every thread count (including
 // serial packed execution) for a given blocking. Worker counts are clamped
 // to hardware concurrency (monotone scaling by construction; see
-// GemmEffectiveWorkers). Only the deterministic-mode scalar path
-// (kernels.cc) is ordered differently. See DESIGN.md §9.
+// GemmEffectiveWorkers). This nest is the only implementation of the dense
+// products: results are bitwise-reproducible on one host for any worker
+// count, but the microkernel (AVX2+FMA or portable) and the derived Kc are
+// per host, so bits may differ across hosts. See DESIGN.md §9.
 
 #pragma once
 
@@ -52,6 +54,14 @@ inline constexpr size_t kNR = 16;
 
 /// True when the AVX2+FMA microkernel is selected at runtime.
 bool MicroKernelIsAvx2();
+
+/// The portable microkernel, the one non-x86 hosts (and x86 hosts without
+/// AVX2+FMA) run: C_tile(mr x nr) += sum over p < kc of
+/// ap[p * kMR + r] * bp[p * kNR + j], with ap/bp packed and zero-padded to
+/// the full kMR x kNR tile and C row-major with leading dimension ldc.
+/// Declared here so tests can check it on hosts that select the AVX2 one.
+void MicroKernelPortable(size_t kc, const float* ap, const float* bp,
+                         float* c, size_t ldc, size_t mr, size_t nr);
 
 /// C += alpha * op(A) * op(B), serial packed path. C is row-major with
 /// leading dimension ldc; callers apply beta before dispatching.

@@ -25,10 +25,7 @@ std::atomic<size_t> g_threads{0};
 // ParallelFor wake cost drops under 10% of kernel time on the recording
 // host; everything smaller stays serial.
 constexpr uint64_t kDefaultParallelMinFlops = 4'000'000;
-std::atomic<uint64_t> g_parallel_min_flops{0};  // 0 = unresolved
-
-enum : int { kUnresolved = -1 };
-std::atomic<int> g_deterministic{kUnresolved};
+std::atomic<uint64_t> g_parallel_min_flops{0};  // 0 = the default
 
 // Ceiling on SAMPNN_THREADS: far above any real machine, low enough that a
 // mistyped value cannot ask for a million workers.
@@ -140,7 +137,7 @@ GemmBlocking DeriveBlocking(const CacheGeometry& geo) {
   return blk;
 }
 
-// Applies the microtile invariants to one override/env value; 0 = derive.
+// Applies the microtile invariants to one override value; 0 = derive.
 size_t NormalizeBlockDim(size_t v, size_t unit, size_t max) {
   if (v == 0) return 0;
   return std::clamp(RoundDownTo(v, unit), unit, max);
@@ -167,22 +164,16 @@ GemmBlocking ResolveBlocking(size_t mc_override, size_t kc_override,
   using gemm_internal::kMR;
   using gemm_internal::kNR;
   GemmBlocking blk = DeriveBlocking(DetectCacheGeometry());
-  auto dim = [](const char* env, size_t override_v, size_t unit, size_t max) {
-    if (override_v != 0) return NormalizeBlockDim(override_v, unit, max);
-    const long long v = GetEnvIntInRangeOr(env, 0, 0, 4096);
-    return NormalizeBlockDim(v > 0 ? static_cast<size_t>(v) : 0, unit, max);
-  };
-  if (const size_t mc = dim("SAMPNN_GEMM_MC", mc_override, kMR, 4096); mc)
+  if (const size_t mc = NormalizeBlockDim(mc_override, kMR, 4096); mc)
     blk.mc = mc;
-  if (const size_t kc = dim("SAMPNN_GEMM_KC", kc_override, 8, 4096); kc)
+  if (const size_t kc = NormalizeBlockDim(kc_override, 8, 4096); kc)
     blk.kc = kc;
-  if (const size_t nc = dim("SAMPNN_GEMM_NC", nc_override, kNR, 4096); nc)
+  if (const size_t nc = NormalizeBlockDim(nc_override, kNR, 4096); nc)
     blk.nc = nc;
   return blk;
 }
 
-enum : int { kOversubscribeUnresolved = -1 };
-std::atomic<int> g_oversubscribe{kOversubscribeUnresolved};
+std::atomic<bool> g_oversubscribe{false};
 
 }  // namespace
 
@@ -211,31 +202,12 @@ void SetGemmThreads(size_t n) {
 }
 
 uint64_t GemmParallelMinFlops() {
-  uint64_t v = g_parallel_min_flops.load(std::memory_order_relaxed);
-  if (v == 0) {
-    const long long env = GetEnvIntOr("SAMPNN_GEMM_PARALLEL_MIN_FLOPS", 0);
-    v = env > 0 ? static_cast<uint64_t>(env) : kDefaultParallelMinFlops;
-    g_parallel_min_flops.store(v, std::memory_order_relaxed);
-  }
-  return v;
+  const uint64_t v = g_parallel_min_flops.load(std::memory_order_relaxed);
+  return v != 0 ? v : kDefaultParallelMinFlops;
 }
 
 void SetGemmParallelMinFlops(uint64_t flops) {
-  g_parallel_min_flops.store(flops == 0 ? 1 : flops,
-                             std::memory_order_relaxed);
-}
-
-bool DeterministicKernels() {
-  int v = g_deterministic.load(std::memory_order_relaxed);
-  if (v == kUnresolved) {
-    v = GetEnvIntOr("SAMPNN_DETERMINISTIC_KERNELS", 0) != 0 ? 1 : 0;
-    g_deterministic.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetDeterministicKernels(bool on) {
-  g_deterministic.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_parallel_min_flops.store(flops, std::memory_order_relaxed);
 }
 
 CacheGeometry DetectCacheGeometry() {
@@ -261,21 +233,14 @@ void SetGemmBlockSizes(size_t mc, size_t kc, size_t nc) {
                    std::memory_order_relaxed);
 }
 
-bool GemmOversubscribe() {
-  int v = g_oversubscribe.load(std::memory_order_relaxed);
-  if (v == kOversubscribeUnresolved) {
-    v = GetEnvIntOr("SAMPNN_GEMM_OVERSUBSCRIBE", 0) != 0 ? 1 : 0;
-    g_oversubscribe.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
 void SetGemmOversubscribe(bool on) {
-  g_oversubscribe.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_oversubscribe.store(on, std::memory_order_relaxed);
 }
 
 size_t GemmEffectiveWorkers(size_t requested) {
-  if (requested <= 1 || GemmOversubscribe()) return requested;
+  if (requested <= 1 || g_oversubscribe.load(std::memory_order_relaxed)) {
+    return requested;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return std::min<size_t>(requested, hw == 0 ? 1 : hw);
 }

@@ -1,28 +1,14 @@
 // Runtime configuration for the dense kernel layer: worker count, the
-// FLOP threshold below which GEMM stays serial, the Mc/Kc/Nc cache-block
-// sizes of the five-loop GEMM nest, and the deterministic-mode switch. All
-// knobs are process-global relaxed atomics — cheap to read on every
-// dispatch, safe to flip from tests.
+// FLOP threshold below which GEMM stays serial, and the Mc/Kc/Nc
+// cache-block sizes of the five-loop GEMM nest. All settings are
+// process-global relaxed atomics — cheap to read on every dispatch.
 //
-// Environment:
-//   SAMPNN_THREADS                 worker count for partitioned GEMM
-//                                  (default: hardware concurrency)
-//   SAMPNN_DETERMINISTIC_KERNELS   1 = force the serial, scalar, seed-ordered
-//                                  kernels everywhere (bitwise-stable across
-//                                  hosts and thread settings; used by the
-//                                  crash-resume smoke job)
-//   SAMPNN_GEMM_PARALLEL_MIN_FLOPS override the serial/parallel threshold
-//   SAMPNN_GEMM_MC / _KC / _NC     override one or more cache-block sizes
-//                                  of the blocked GEMM nest (values are
-//                                  rounded to microtile multiples; unset
-//                                  dimensions derive from detected cache
-//                                  geometry)
-//   SAMPNN_GEMM_OVERSUBSCRIBE      1 = let the GEMM run more workers than
-//                                  the machine has cores (tests only; by
-//                                  default the worker count is clamped to
-//                                  hardware concurrency, since
-//                                  oversubscribing a compute-bound kernel
-//                                  only adds context-switch overhead)
+// Environment: SAMPNN_THREADS is the only variable read here (worker
+// count for partitioned GEMM; default: hardware concurrency). Everything
+// else is derived (block sizes from cache geometry) or fixed (the parallel
+// threshold). The Set* functions are in-process hooks for tests and
+// benchmark sweeps; no environment variable reaches them. None of them
+// changes results except SetGemmBlockSizes' kc (see GemmBlocking).
 
 #pragma once
 
@@ -37,15 +23,18 @@ struct CancelContext;  // src/util/deadline.h
 /// from SAMPNN_THREADS, else std::thread::hardware_concurrency (min 1).
 size_t GemmThreads();
 
-/// Overrides the GEMM worker count. 0 re-resolves from the environment /
-/// hardware on the next GemmThreads() call. The shared kernel pool is
-/// re-created lazily on the next parallel dispatch.
+/// Test hook: overrides the GEMM worker count. 0 re-resolves from
+/// SAMPNN_THREADS / hardware on the next GemmThreads() call. A pool for the
+/// new count is created lazily on the next parallel dispatch.
 void SetGemmThreads(size_t n);
 
 /// 2*m*n*k threshold at or above which a GEMM dispatch is partitioned
 /// across the kernel pool. Small products stay serial: the pack + wake cost
-/// exceeds the work well below this size.
+/// exceeds the work well below this size. Default 4'000'000 (a 128^3
+/// product).
 uint64_t GemmParallelMinFlops();
+/// Test hook: overrides the threshold (1 sends every product down the
+/// parallel path); 0 restores the default.
 void SetGemmParallelMinFlops(uint64_t flops);
 
 /// Per-core data-cache capacities in bytes, detected once per process from
@@ -64,28 +53,27 @@ CacheGeometry DetectCacheGeometry();
 /// Defaults derive from DetectCacheGeometry(): kc sized so one A microtile
 /// (6 x kc) plus one B microtile (kc x 16) stays L1-resident, mc so the
 /// packed A block (mc x kc) fills about half of L2, nc so the shared packed
-/// B panel (kc x nc) stays within a bounded L3 share. Each dimension is
-/// independently overridable via SAMPNN_GEMM_{MC,KC,NC}.
+/// B panel (kc x nc) stays within a bounded L3 share.
 ///
 /// Note: kc participates in rounding (the packed path adds one partial sum
 /// to C per k-block), so changing it changes low-order result bits — like
-/// the microkernel choice, it is fixed per process, and thread count never
-/// affects results for a given configuration.
+/// the microkernel choice, it is fixed per host, and neither the thread
+/// count nor mc/nc affects results for a given kc.
 struct GemmBlocking {
   size_t mc = 0;
   size_t kc = 0;
   size_t nc = 0;
 };
 
-/// The blocking the next GEMM dispatch will use. Resolved on first call
-/// from the environment / cache geometry, then cached.
+/// The blocking the next GEMM dispatch will use. Derived on first call
+/// from the cache geometry, then cached.
 GemmBlocking GemmBlockSizes();
 
-/// Overrides the blocked nest's Mc/Kc/Nc (tests and tuning sweeps). Values
-/// are rounded down to the microtile invariants above and floored at one
-/// tile; a 0 field re-derives that dimension from the environment / cache
-/// geometry on the next GemmBlockSizes() call. Not meant to be flipped
-/// while GEMMs are in flight (each dispatch snapshots the blocking once).
+/// Test hook: overrides the blocked nest's Mc/Kc/Nc. Values are rounded
+/// down to the microtile invariants above and floored at one tile; a 0
+/// field keeps the cache-derived value for that dimension, and (0, 0, 0)
+/// restores the derived blocking. Not meant to be flipped while GEMMs are
+/// in flight (each dispatch snapshots the blocking once).
 void SetGemmBlockSizes(size_t mc, size_t kc, size_t nc);
 
 /// Worker count a dispatch actually fans out to for `requested` workers:
@@ -96,19 +84,10 @@ void SetGemmBlockSizes(size_t mc, size_t kc, size_t nc);
 /// bitwise-invariant across worker counts).
 size_t GemmEffectiveWorkers(size_t requested);
 
-/// When true, GemmEffectiveWorkers returns `requested` unclamped, so tests
-/// can exercise real multi-worker execution (shared packed-B reads, the
-/// TSan surface) even on single-core hosts. Resolved once from
-/// SAMPNN_GEMM_OVERSUBSCRIBE; settable from tests.
-bool GemmOversubscribe();
+/// Test hook: when on, GemmEffectiveWorkers returns `requested` unclamped,
+/// so tests can exercise real multi-worker execution (shared packed-B
+/// reads, the TSan surface) even on single-core hosts. Off by default.
 void SetGemmOversubscribe(bool on);
-
-/// When true, every dense kernel takes its serial, scalar, fixed-order
-/// path: no SIMD microkernel, no FMA contraction, no thread partitioning.
-/// Results are then bitwise-identical across hosts, ISAs, and thread
-/// settings — the mode checkpoint/resume verification runs under.
-bool DeterministicKernels();
-void SetDeterministicKernels(bool on);
 
 /// The cancel context the current thread's GEMM dispatches poll, or nullptr.
 /// The packed driver captures this pointer at dispatch time, so row-block

@@ -13,10 +13,6 @@
 namespace sampnn {
 
 namespace {
-// Block sizes for the deterministic scalar path, tuned for ~32 KiB L1:
-// a 64x64 float tile of B is 16 KiB.
-constexpr size_t kBlockK = 64;
-constexpr size_t kBlockJ = 256;
 
 // Telemetry FLOP tallies (2 flops per multiply-accumulate), charged once per
 // kernel call so the inner loops stay untouched. `nominal` is the dense
@@ -61,18 +57,12 @@ inline void ApplyBeta(Matrix* c, float beta) {
   }
 }
 
-// Chooses the execution mode for one dense product of `flops` nominal
-// FLOPs and runs it: deterministic scalar (caller-provided), packed serial,
-// or packed ThreadPool-partitioned when the product is big enough to
-// amortize packing and worker wakeup.
-template <typename DetFn>
+// Runs one dense product of 2*m*n*k nominal FLOPs on the packed nest:
+// serial, or ThreadPool-partitioned when the product is big enough to
+// amortize packing and worker wakeup. Results do not depend on which.
 void DispatchGemm(size_t m, size_t n, size_t k, float alpha, const float* a,
                   size_t a_rs, size_t a_cs, const float* b, size_t b_rs,
-                  size_t b_cs, float* c, size_t ldc, DetFn&& deterministic) {
-  if (DeterministicKernels()) {
-    deterministic();
-    return;
-  }
+                  size_t b_cs, float* c, size_t ldc) {
   TraceSpan span("gemm");
   const uint64_t flops = uint64_t{2} * m * n * k;
   const size_t threads =
@@ -80,61 +70,6 @@ void DispatchGemm(size_t m, size_t n, size_t k, float alpha, const float* a,
   CountDispatch(threads > 1);
   gemm_internal::PackedGemmParallel(m, n, k, alpha, a, a_rs, a_cs, b, b_rs,
                                     b_cs, c, ldc, threads);
-}
-
-// --- Deterministic scalar kernels: the seed's serial loop orderings. ---
-
-void GemmScalar(const float* ad, const float* bd, float* cd, size_t m,
-                size_t k, size_t n, float alpha) {
-  for (size_t k0 = 0; k0 < k; k0 += kBlockK) {
-    const size_t k1 = std::min(k, k0 + kBlockK);
-    for (size_t j0 = 0; j0 < n; j0 += kBlockJ) {
-      const size_t j1 = std::min(n, j0 + kBlockJ);
-      for (size_t i = 0; i < m; ++i) {
-        const float* arow = ad + i * k;
-        float* crow = cd + i * n;
-        for (size_t l = k0; l < k1; ++l) {
-          const float av = alpha * arow[l];
-          const float* brow = bd + l * n;
-          for (size_t j = j0; j < j1; ++j) {
-            crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-void GemmTransAScalar(const float* ad, const float* bd, float* cd, size_t m,
-                      size_t k, size_t n, float alpha) {
-  // C[l, j] += A[i, l] * B[i, j]: stream rows of A and B, scatter into C
-  // rows.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = ad + i * k;
-    const float* brow = bd + i * n;
-    for (size_t l = 0; l < k; ++l) {
-      const float av = alpha * arow[l];
-      float* crow = cd + l * n;
-      for (size_t j = 0; j < n; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void GemmTransBScalar(const float* ad, const float* bd, float* cd, size_t m,
-                      size_t k, size_t n, float alpha) {
-  // C[i, j] += <A row i, B row j>: both operands stream row-major.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = ad + i * k;
-    float* crow = cd + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = bd + j * k;
-      float acc = 0.0f;
-      for (size_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
-      crow[j] += alpha * acc;
-    }
-  }
 }
 
 }  // namespace
@@ -148,11 +83,7 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(c->cols(), n);
   ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* cd = c->data();
-  DispatchGemm(m, n, k, alpha, ad, k, 1, bd, n, 1, cd, n,
-               [&] { GemmScalar(ad, bd, cd, m, k, n, alpha); });
+  DispatchGemm(m, n, k, alpha, a.data(), k, 1, b.data(), n, 1, c->data(), n);
 }
 
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
@@ -164,14 +95,10 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(c->cols(), n);
   ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* cd = c->data();
   // op(A) = A^T: the packed path partitions over C's rows (the gradient's
   // output neurons), so each worker owns a disjoint row range and the
   // weight-gradient scatter is race-free by construction.
-  DispatchGemm(k, n, m, alpha, ad, 1, k, bd, n, 1, cd, n,
-               [&] { GemmTransAScalar(ad, bd, cd, m, k, n, alpha); });
+  DispatchGemm(k, n, m, alpha, a.data(), 1, k, b.data(), n, 1, c->data(), n);
 }
 
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
@@ -183,11 +110,7 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, float alpha,
   SAMPNN_CHECK_EQ(c->cols(), n);
   ApplyBeta(c, beta);
   CountDenseFlops(2 * m * k * n, 2 * m * k * n);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* cd = c->data();
-  DispatchGemm(m, n, k, alpha, ad, k, 1, bd, 1, k, cd, n,
-               [&] { GemmTransBScalar(ad, bd, cd, m, k, n, alpha); });
+  DispatchGemm(m, n, k, alpha, a.data(), k, 1, b.data(), 1, k, c->data(), n);
 }
 
 void VecMat(std::span<const float> x, const Matrix& w,

@@ -7,13 +7,13 @@
 //   - column-subset products (ALSH-approx: "sampling from current layer"),
 //   - row-subset products (MC-approx: "sampling from previous layer").
 //
-// The gemm family runs on a packed, register-blocked microkernel
-// (src/tensor/gemm.h): AVX2+FMA when the CPU supports it, ThreadPool
-// row-partitioned above a FLOP threshold (SAMPNN_THREADS workers), with a
-// bitwise-stable serial scalar path under SAMPNN_DETERMINISTIC_KERNELS=1.
-// Elementwise ops vectorize through src/tensor/simd.h. Tuning knobs and
-// the determinism switch live in src/tensor/kernel_config.h; DESIGN.md §9
-// documents the architecture and the float-reassociation tolerance.
+// The gemm family has one implementation, the packed, cache-blocked nest
+// of src/tensor/gemm.h: AVX2+FMA microkernel when the CPU supports it,
+// ThreadPool-partitioned above a FLOP threshold (SAMPNN_THREADS workers),
+// bitwise-identical for any worker count on one host. Elementwise ops
+// vectorize through src/tensor/simd.h. The worker count, threshold and
+// block sizes live in src/tensor/kernel_config.h; DESIGN.md §9 documents
+// the architecture, what is reproducible, and the float tolerance.
 
 #pragma once
 

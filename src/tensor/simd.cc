@@ -1,15 +1,11 @@
 #include "src/tensor/simd.h"
 
-#include "src/tensor/kernel_config.h"
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SAMPNN_SIMD_X86 1
 #include <immintrin.h>
 #endif
 
 namespace sampnn::simd {
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Portable lane-wise loops. __restrict__ lets the compiler vectorize at the
@@ -45,6 +41,8 @@ void ReluGradMulPortable(size_t n, const float* __restrict__ z,
                          float* __restrict__ d) {
   for (size_t i = 0; i < n; ++i) d[i] *= z[i] > 0.0f ? 1.0f : 0.0f;
 }
+
+namespace {
 
 #ifdef SAMPNN_SIMD_X86
 
@@ -137,8 +135,6 @@ __attribute__((target("avx2,fma"))) void ReluGradMulAvx2(size_t n,
 
 #endif  // SAMPNN_SIMD_X86
 
-inline bool UseAvx2() { return !DeterministicKernels() && HasAvx2Fma(); }
-
 }  // namespace
 
 bool HasAvx2Fma() {
@@ -153,7 +149,7 @@ bool HasAvx2Fma() {
 
 void Axpy(size_t n, float alpha, const float* x, float* y) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     AxpyAvx2(n, alpha, x, y);
     return;
   }
@@ -163,7 +159,7 @@ void Axpy(size_t n, float alpha, const float* x, float* y) {
 
 void Scale(size_t n, float alpha, float* x) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     ScaleAvx2(n, alpha, x);
     return;
   }
@@ -173,7 +169,7 @@ void Scale(size_t n, float alpha, float* x) {
 
 void Mul(size_t n, const float* x, float* y) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     MulAvx2(n, x, y);
     return;
   }
@@ -183,7 +179,7 @@ void Mul(size_t n, const float* x, float* y) {
 
 void Add(size_t n, const float* x, float* y) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     AddAvx2(n, x, y);
     return;
   }
@@ -193,7 +189,7 @@ void Add(size_t n, const float* x, float* y) {
 
 void Relu(size_t n, const float* x, float* y) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     ReluAvx2(n, x, y);
     return;
   }
@@ -203,7 +199,7 @@ void Relu(size_t n, const float* x, float* y) {
 
 void ReluGradMul(size_t n, const float* z, float* d) {
 #ifdef SAMPNN_SIMD_X86
-  if (UseAvx2()) {
+  if (HasAvx2Fma()) {
     ReluGradMulAvx2(n, z, d);
     return;
   }

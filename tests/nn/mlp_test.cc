@@ -73,21 +73,6 @@ TEST(MlpForwardTest, ShapesAndWorkspace) {
   EXPECT_EQ(ws.a[0].cols(), 6u);
 }
 
-TEST(MlpForwardTest, SampleMatchesBatchRow) {
-  auto net = std::move(Mlp::Create(SmallConfig())).value();
-  Rng rng(2);
-  Matrix x = Matrix::RandomGaussian(3, 4, rng);
-  MlpWorkspace ws;
-  const Matrix& logits = net.Forward(x, &ws);
-  for (size_t r = 0; r < 3; ++r) {
-    const auto single = net.ForwardSample(x.Row(r));
-    ASSERT_EQ(single.size(), 3u);
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(single[j], logits(r, j), 1e-4f);
-    }
-  }
-}
-
 TEST(MlpForwardTest, ReluZeroesNegativePreactivations) {
   auto net = std::move(Mlp::Create(SmallConfig())).value();
   Rng rng(3);

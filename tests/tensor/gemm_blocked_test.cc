@@ -27,7 +27,6 @@ namespace {
 class GemmBlockedTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetDeterministicKernels(false);
     SetGemmThreads(0);
     SetGemmParallelMinFlops(0);
     SetGemmBlockSizes(0, 0, 0);
@@ -58,7 +57,6 @@ void ExpectClose(const Matrix& got, const Matrix& want, size_t k) {
 // exercises every interior/edge tile combination the derived (large)
 // blocking would never reach at test sizes.
 TEST_F(GemmBlockedTest, AwkwardShapeSweepAgainstOracle) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   SetGemmOversubscribe(true);  // real multi-worker nests even on 1 core
@@ -111,7 +109,6 @@ TEST_F(GemmBlockedTest, AwkwardShapeSweepAgainstOracle) {
 // workers must produce identical bits, including with blocks small enough
 // that one product spans many panels.
 TEST_F(GemmBlockedTest, WorkerCountInvariantBits) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   SetGemmOversubscribe(true);
@@ -137,7 +134,6 @@ TEST_F(GemmBlockedTest, WorkerCountInvariantBits) {
 // Changing Mc/Nc (the grid partition) must not change bits either — only
 // Kc regroups partial sums. This pins the documented determinism contract.
 TEST_F(GemmBlockedTest, McNcPartitioningDoesNotChangeBits) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmOversubscribe(true);
   SetGemmThreads(3);
@@ -164,7 +160,6 @@ TEST_F(GemmBlockedTest, McNcPartitioningDoesNotChangeBits) {
 // This is the shared-state surface the pool adds; run under TSan via the
 // tensor label. Each caller verifies its own numerical result.
 TEST_F(GemmBlockedTest, ConcurrentBlockedDispatchesShareThePool) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   SetGemmOversubscribe(true);
@@ -209,7 +204,6 @@ TEST_F(GemmBlockedTest, ConcurrentBlockedDispatchesShareThePool) {
 // checkout returns its buffer to the freelist, repeat GEMMs are served
 // entirely from the pool.
 TEST_F(GemmBlockedTest, SteadyStateGemmReusesPooledPanels) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   Rng rng(2718);
@@ -253,7 +247,6 @@ TEST_F(GemmBlockedTest, PoolAcquireGrowsAndRecycles) {
 // beta-scaled value, the product is never added, and nothing crashes or
 // deadlocks when the cancel lands while the grid is mid-flight.
 TEST_F(GemmBlockedTest, CancellationStopsTheNest) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);
   SetGemmBlockSizes(12, 16, 32);
   SetGemmOversubscribe(true);

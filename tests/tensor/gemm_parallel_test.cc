@@ -1,8 +1,8 @@
 // Threading behavior of the packed GEMM path: bitwise invariance across
 // worker counts, concurrent dispatch from independent caller threads (the
-// TSan surface), serial/parallel dispatch telemetry, deterministic-mode
-// equivalence, and the 64-byte alignment contract the microkernel's
-// aligned packs rely on.
+// TSan surface), serial/parallel dispatch telemetry and its threshold,
+// and the 64-byte alignment contract the microkernel's aligned packs rely
+// on.
 
 #include <cstdint>
 #include <cstring>
@@ -24,7 +24,6 @@ namespace {
 class GemmParallelTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    SetDeterministicKernels(false);
     SetGemmThreads(0);
     SetGemmParallelMinFlops(0);
   }
@@ -40,7 +39,6 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
 // accumulates in a fixed order, so the packed path must produce identical
 // bits no matter how many workers split the rows.
 TEST_F(GemmParallelTest, ThreadCountDoesNotChangeBits) {
-  SetDeterministicKernels(false);
   SetGemmParallelMinFlops(1);  // parallel path even for small products
   Rng rng(8086);
   const size_t m = 61, k = 129, n = 47;
@@ -83,7 +81,6 @@ TEST_F(GemmParallelTest, ThreadCountDoesNotChangeBits) {
 // shared state is the pool and the thread-local pack buffers. This is the
 // test TSan watches.
 TEST_F(GemmParallelTest, ConcurrentCallersAreRaceFree) {
-  SetDeterministicKernels(false);
   SetGemmThreads(4);
   SetGemmParallelMinFlops(1);
   constexpr int kCallers = 4;
@@ -122,7 +119,6 @@ TEST_F(GemmParallelTest, ConcurrentCallersAreRaceFree) {
 TEST_F(GemmParallelTest, DispatchCountersTrackThreshold) {
   const bool telemetry_was_on = TelemetryEnabled();
   SetTelemetryEnabled(true);
-  SetDeterministicKernels(false);
   SetGemmThreads(4);
   SetGemmParallelMinFlops(2ull * 64 * 64 * 64);  // 512 KFLOP threshold
 
@@ -147,34 +143,24 @@ TEST_F(GemmParallelTest, DispatchCountersTrackThreshold) {
   EXPECT_EQ(serial.Value(), s0 + 1);
   EXPECT_EQ(parallel.Value(), p0 + 1);
 
-  // Deterministic mode bypasses the dispatcher entirely: no new tallies.
-  SetDeterministicKernels(true);
+  // Resetting the threshold restores the 4 MFLOP default, under which the
+  // 64^3 product (~0.5 MFLOP) stays serial.
+  SetGemmParallelMinFlops(0);
   Gemm(big_a, big_b, &big_c);
-  EXPECT_EQ(serial.Value(), s0 + 1);
+  EXPECT_EQ(serial.Value(), s0 + 2);
   EXPECT_EQ(parallel.Value(), p0 + 1);
 
   SetTelemetryEnabled(telemetry_was_on);
 }
 
-// SAMPNN_DETERMINISTIC_KERNELS must yield bits that do not depend on the
-// thread knob at all (it never consults it).
-TEST_F(GemmParallelTest, DeterministicModeIgnoresThreadKnob) {
-  SetDeterministicKernels(true);
-  Rng rng(777);
-  Matrix a = Matrix::RandomGaussian(37, 83, rng);
-  Matrix b = Matrix::RandomGaussian(83, 41, rng);
-  Matrix c1(37, 41), c4(37, 41);
-  SetGemmThreads(1);
-  Gemm(a, b, &c1);
-  SetGemmThreads(4);
-  Gemm(a, b, &c4);
-  EXPECT_TRUE(BitwiseEqual(c1, c4));
-
-  Matrix want(37, 41);
-  reference::Gemm(a, b, &want, 1.0f, 0.0f);
-  for (size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_NEAR(c1.data()[i], want.data()[i], 1e-3f);
-  }
+// Every guard in the tensor tests resets the threshold with 0; that must
+// mean "the default", not "1 FLOP", or one guard would send every later
+// product in the process down the parallel path.
+TEST_F(GemmParallelTest, ZeroParallelMinFlopsRestoresDefault) {
+  SetGemmParallelMinFlops(1);
+  EXPECT_EQ(GemmParallelMinFlops(), 1u);
+  SetGemmParallelMinFlops(0);
+  EXPECT_EQ(GemmParallelMinFlops(), 4'000'000u);
 }
 
 // The microkernel issues aligned 32-byte loads from the pack buffers and

@@ -1,6 +1,6 @@
-// Randomized conformance sweep: every execution mode of the dense GEMM
-// family (deterministic scalar, packed serial, packed ThreadPool-
-// partitioned) must match the naive double-precision oracle in
+// Randomized conformance sweep: both execution modes of the dense GEMM
+// family (packed serial, packed ThreadPool-partitioned) must match the
+// naive double-precision oracle in
 // kernels_reference.h over awkward shapes — unit dims, primes, multiples
 // and off-by-ones of the microkernel tile and cache-block sizes — crossed
 // with the alpha/beta special cases the kernels branch on. Runs under
@@ -25,25 +25,21 @@ class KernelConfigGuard {
  public:
   KernelConfigGuard() = default;
   ~KernelConfigGuard() {
-    SetDeterministicKernels(false);
     SetGemmThreads(0);               // re-resolve from env/hardware
     SetGemmParallelMinFlops(0);      // reset to default threshold
   }
 };
 
-enum class Mode { kDeterministic, kPackedSerial, kPackedParallel };
+// gtest prints the parameter's bytes into each instance's test id; the
+// explicit values keep those ids stable.
+enum class Mode { kPackedSerial = 1, kPackedParallel = 2 };
 
 void ApplyMode(Mode mode) {
   switch (mode) {
-    case Mode::kDeterministic:
-      SetDeterministicKernels(true);
-      break;
     case Mode::kPackedSerial:
-      SetDeterministicKernels(false);
       SetGemmThreads(1);
       break;
     case Mode::kPackedParallel:
-      SetDeterministicKernels(false);
       SetGemmThreads(4);
       SetGemmParallelMinFlops(1);  // every dispatch takes the parallel path
       break;
@@ -52,8 +48,6 @@ void ApplyMode(Mode mode) {
 
 const char* ModeName(Mode mode) {
   switch (mode) {
-    case Mode::kDeterministic:
-      return "deterministic";
     case Mode::kPackedSerial:
       return "packed_serial";
     case Mode::kPackedParallel:
@@ -220,8 +214,7 @@ TEST_P(ConformanceTest, GemmEdgeShapesFullAlphaBetaCross) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ConformanceTest,
-                         ::testing::Values(Mode::kDeterministic,
-                                           Mode::kPackedSerial,
+                         ::testing::Values(Mode::kPackedSerial,
                                            Mode::kPackedParallel),
                          [](const ::testing::TestParamInfo<Mode>& info) {
                            return ModeName(info.param);

@@ -88,4 +88,42 @@ inline void VecMat(std::span<const float> x, const Matrix& w,
   }
 }
 
+/// Elementwise oracles for the SIMD primitives (src/tensor/simd.h), each
+/// computed in double and rounded once.
+inline void Axpy(float alpha, std::span<const float> x, std::span<float> y) {
+  for (size_t i = 0; i < y.size(); ++i) {
+    y[i] = static_cast<float>(static_cast<double>(y[i]) +
+                              static_cast<double>(alpha) * x[i]);
+  }
+}
+
+inline void Scale(float alpha, std::span<float> x) {
+  for (float& v : x) v = static_cast<float>(static_cast<double>(alpha) * v);
+}
+
+inline void Mul(std::span<const float> x, std::span<float> y) {
+  for (size_t i = 0; i < y.size(); ++i) {
+    y[i] = static_cast<float>(static_cast<double>(y[i]) * x[i]);
+  }
+}
+
+inline void Add(std::span<const float> x, std::span<float> y) {
+  for (size_t i = 0; i < y.size(); ++i) {
+    y[i] = static_cast<float>(static_cast<double>(y[i]) + x[i]);
+  }
+}
+
+/// max(x, 0) with -0.0f and NaN mapped to +0.0f.
+inline void Relu(std::span<const float> x, std::span<float> y) {
+  for (size_t i = 0; i < y.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+/// d *= (z > 0 ? 1 : 0); a NaN in d stays NaN.
+inline void ReluGradMul(std::span<const float> z, std::span<float> d) {
+  for (size_t i = 0; i < d.size(); ++i) {
+    d[i] = static_cast<float>(static_cast<double>(d[i]) *
+                              (z[i] > 0.0f ? 1.0 : 0.0));
+  }
+}
+
 }  // namespace sampnn::reference
